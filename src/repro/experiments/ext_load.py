@@ -23,9 +23,9 @@ from __future__ import annotations
 from random import Random
 
 from repro.experiments.common import ExperimentScale, FigureResult, Series, bandwidth_group
-from repro.metrics.load import ForwardingLoad, flooding_load
+from repro.metrics.load import flooding_load, single_tree_load
 from repro.multicast.session import SystemKind
-from repro.multicast.tree_building import build_shared_tree
+from repro.multicast.tree_building import build_shared_tree, capacity_violations
 from repro.overlay.cam_chord import CamChordOverlay
 
 #: number of multicast sources (= messages) in the workload
@@ -49,9 +49,7 @@ def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
     shared_tree = build_shared_tree(
         overlay, group_key=rng.randrange(group.overlay.space.size)
     )
-    shared = ForwardingLoad(
-        per_node=shared_tree.forwarding_load(message_count=SOURCE_COUNT)
-    )
+    shared = single_tree_load(shared_tree, message_count=SOURCE_COUNT)
 
     for label, load in (("flooding", flood), ("single-tree", shared)):
         series = Series(label=label)
@@ -61,7 +59,7 @@ def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
         series.add(3, load.idle_fraction)
         result.series.append(series)
 
-    violations = shared_tree.capacity_violations(group.snapshot)
+    violations = capacity_violations(shared_tree, group.snapshot)
     disparity = Series(label="shared-tree capacity disparity")
     disparity.add(0, float(len(violations)))  # overloaded nodes
     disparity.add(1, float(max(violations.values(), default=0)))  # worst excess

@@ -12,16 +12,17 @@ Four routines, matching the four systems of the paper's evaluation:
 * :func:`koorde_flood` — flooding over plain Koorde's clustered de
   Bruijn links (capacity-oblivious baseline).
 
-The snapshot-driven routines (:func:`cam_chord_multicast`,
-:func:`cam_koorde_multicast`, :func:`koorde_flood`) execute in the
-flat-array kernel (:mod:`repro.multicast.kernel`) and return a
-:class:`FlatTree` — a lazy view speaking the full
-:class:`MulticastResult` vocabulary.  The traced/live data plane
-(protocol peers, the reliable-multicast service) still records object
-trees via :class:`MulticastResult`.
+Every routine returns a :class:`FlatTree` — the one tree type: flat
+parent/depth/child-count arrays over the snapshot's member indices,
+with lazily materialized ``parent`` / ``depth`` dict views.  The
+snapshot-driven routines (:func:`cam_chord_multicast`,
+:func:`cam_koorde_multicast`, :func:`koorde_flood`) build it in one
+pass in the flat-array kernel (:mod:`repro.multicast.kernel`); the
+reference recorders, :func:`chord_broadcast`, capped floods,
+proximity neighbor selection and :func:`build_shared_tree` record it
+one delivery at a time (:meth:`FlatTree.record_delivery`).
 """
 
-from repro.multicast.delivery import MulticastResult
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
 from repro.multicast.cam_chord import cam_chord_multicast, reference_multicast
 from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
@@ -36,7 +37,7 @@ from repro.multicast.plane import (
     SequenceLedger,
     ServicePlane,
 )
-from repro.multicast.tree_building import SharedTree, build_shared_tree
+from repro.multicast.tree_building import build_shared_tree
 
 __all__ = [
     "MulticastService",
@@ -45,9 +46,7 @@ __all__ = [
     "SendReceipt",
     "SequenceAudit",
     "SequenceLedger",
-    "SharedTree",
     "build_shared_tree",
-    "MulticastResult",
     "FlatTree",
     "flood_tree",
     "region_split_tree",

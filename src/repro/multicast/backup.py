@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.multicast.kernel import UNREACHED, FlatTree, flood_tree, region_split_tree
+from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
 
 if TYPE_CHECKING:
     from repro.systems import SystemDescriptor
@@ -113,7 +113,7 @@ class BackupPlan:
         return tuple(out)
 
 
-def build_backup_plan(tree: FlatTree, descriptor: "SystemDescriptor") -> BackupPlan:
+def build_backup_plan(tree: FlatTree) -> BackupPlan:
     """Install ranked backup routes for every member of one frozen tree.
 
     Candidate ranking per member ``v``: the grandparent (closest
@@ -139,13 +139,7 @@ def build_backup_plan(tree: FlatTree, descriptor: "SystemDescriptor") -> BackupP
     capacities = snapshot.capacities
     parent_index = tree.parent_index
     order = tree.order
-
-    children_ix: dict[int, list[int]] = {}
-    for index in order:
-        parent = parent_index[index]
-        if parent == index or parent == UNREACHED:
-            continue
-        children_ix.setdefault(parent, []).append(index)
+    children_ix = tree.child_indices()
 
     # Subtree membership per member index (index -> set of member
     # indices), computed leaf-up over the reversed delivery order.
@@ -228,7 +222,7 @@ def backup_plan_for_record(
     overlay = descriptor.build_overlay(snapshot, uniform_fanout)
     builder = region_split_tree if descriptor.builds_single_tree else flood_tree
     tree = builder(overlay, snapshot.node_at(record.source))
-    return build_backup_plan(tree, descriptor)
+    return build_backup_plan(tree)
 
 
 # -- the failover switch ------------------------------------------------------

@@ -37,10 +37,10 @@ from typing import Callable
 
 from repro import perf
 from repro.idspace.ring import segment_contains, segment_size
-from repro.trace.tracer import TRACER
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
 from repro.overlay.cam_chord import level_and_sequence
+from repro.trace.tracer import TRACER
 
 #: Maps a neighbor identifier (with its level and sequence number) to
 #: the identifier of the node believed responsible for it, or None when
@@ -140,7 +140,7 @@ def select_children(overlay, node: Node, limit: int) -> list[tuple[Node, int]]:
     return [(resolved[child], sublimit) for child, sublimit in regions]
 
 
-def cam_chord_multicast(overlay, source: Node):
+def cam_chord_multicast(overlay, source: Node) -> FlatTree:
     """Run a full multicast from ``source`` and return the implicit tree.
 
     Accepts a :class:`CamChordOverlay` (capacity-aware) or a plain
@@ -154,20 +154,22 @@ def cam_chord_multicast(overlay, source: Node):
     for-edge identical to :func:`reference_multicast` (property-tested
     in ``tests/test_kernel.py``).
     """
+    # resolved per call, so a wrapper installed on the kernel's entry
+    # point by name (span instrumentation) sees every tree
     from repro.multicast.kernel import region_split_tree
 
     return region_split_tree(overlay, source)
 
 
-def reference_multicast(overlay, source: Node) -> MulticastResult:
-    """The ``record_delivery``-built object tree of one multicast.
+def reference_multicast(overlay, source: Node) -> FlatTree:
+    """The ``record_delivery``-built tree of one multicast.
 
-    This is the legacy data plane — one dict insert per delivery, one
-    scalar ``resolve`` per considered slot — kept as the executable
-    specification the kernel is property-tested against; the live
-    protocol peers run the same child selection hop by hop.
+    One recorded delivery per edge, one scalar ``resolve`` per
+    considered slot: the executable specification the kernel is
+    property-tested against; the live protocol peers run the same child
+    selection hop by hop.
     """
-    result = MulticastResult(source_ident=source.ident)
+    result = FlatTree.rooted(overlay.snapshot, source.ident)
     initial_limit = overlay.space.sub(source.ident, 1)
     queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
     while queue:

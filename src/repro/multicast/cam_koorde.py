@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable
 
 from repro import perf
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node, Overlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.trace.tracer import TRACER
@@ -30,7 +30,7 @@ def flood_multicast(
     overlay: Overlay,
     source: Node,
     fanout_limit: Callable[[Node], int] | None = None,
-) -> MulticastResult:
+) -> FlatTree:
     """Flood from ``source`` over ``overlay``'s neighbor relation.
 
     ``fanout_limit`` optionally caps how many *new* receivers a node
@@ -39,12 +39,12 @@ def flood_multicast(
     — but the plain-Koorde baseline uses the cap to model nodes that
     refuse work beyond their configured degree.
 
-    This is the ``record_delivery``-built object-tree path, kept as the
-    executable specification of the flood (the kernel in
+    This is the ``record_delivery``-built path, kept as the executable
+    specification of the flood (the kernel in
     :mod:`repro.multicast.kernel` is property-tested against it) and
     for capped floods, which the kernel does not model.
     """
-    result = MulticastResult(source_ident=source.ident)
+    result = FlatTree.rooted(overlay.snapshot, source.ident)
     queue: deque[Node] = deque([source])
     while queue:
         node = queue.popleft()
@@ -68,7 +68,7 @@ def flood_multicast(
     return result
 
 
-def cam_koorde_multicast(overlay: CamKoordeOverlay, source: Node):
+def cam_koorde_multicast(overlay: CamKoordeOverlay, source: Node) -> FlatTree:
     """Section 4.3 MULTICAST: flood over the CAM-Koorde links.
 
     The out-degree of every node in the implicit tree is bounded by its
@@ -77,6 +77,7 @@ def cam_koorde_multicast(overlay: CamKoordeOverlay, source: Node):
     the flat-array kernel over the overlay's memoized CSR adjacency,
     edge-for-edge identical to :func:`flood_multicast`.
     """
+    # resolved per call (see cam_chord.cam_chord_multicast)
     from repro.multicast.kernel import flood_tree
 
     return flood_tree(overlay, source)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
 from repro.overlay.chord import ChordOverlay
 
@@ -56,9 +56,9 @@ def select_broadcast_children(
     return children
 
 
-def chord_broadcast(overlay: ChordOverlay, source: Node) -> MulticastResult:
+def chord_broadcast(overlay: ChordOverlay, source: Node) -> FlatTree:
     """Run a full broadcast from ``source`` and return the implicit tree."""
-    result = MulticastResult(source_ident=source.ident)
+    result = FlatTree.rooted(overlay.snapshot, source.ident)
     initial_limit = overlay.space.sub(source.ident, 1)
     queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
     while queue:

@@ -18,21 +18,23 @@ arrays instead of millions of per-node object operations:
   identifier, ever), region splitters get lazy per-node slot tables
   (one resolution per touched ``(level, sequence)`` slot, ever) — so a
   second source over the same overlay performs *zero* bisects;
-* the result is a :class:`FlatTree`, a lazy view that speaks the full
-  :class:`~repro.multicast.delivery.MulticastResult` vocabulary.  The
-  hot metrics (:mod:`repro.metrics`) read the arrays directly in fused
-  single passes; the ``parent`` / ``depth`` dicts materialize only when
-  a consumer actually subscripts them (parity diffing, causal
-  forensics, the transfer scheduler) and in exact delivery order, so
-  the object view is byte-for-byte the tree the legacy recorder built.
+* the result is a :class:`FlatTree`, the one tree type of the
+  package.  The hot metrics (:mod:`repro.metrics`) read its arrays
+  directly in fused single passes; the ``parent`` / ``depth`` dicts
+  materialize only when a consumer actually subscripts them (parity
+  diffing, causal forensics, delay statistics) and in exact delivery
+  order.
 
-The ``record_delivery``-built object trees remain the data plane of
-the *traced/live* path (protocol peers, the reliable-multicast service,
-proximity ablations): there the tree emerges from simulated message
-exchanges, not from a snapshot, and cannot be precomputed.
+Producers that cannot precompute the tree in one pass — the reference
+recorders the kernel is tested against, capped floods, the El-Ansary
+broadcast, proximity neighbor selection and the reverse-path shared
+tree — start from :meth:`FlatTree.rooted` and add one edge at a time
+with :meth:`FlatTree.record_delivery`, which rejects a second delivery
+to a node, a forward from a node that has not received, and any
+identifier that is not a member of the snapshot.
 
-Equivalence with the legacy recorders is property-tested edge-for-edge
-for all four registry systems in ``tests/test_kernel.py``.
+Equivalence with the reference recorders is property-tested
+edge-for-edge for all four registry systems in ``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from collections import Counter, OrderedDict, deque
 from math import ceil
 
 from repro import perf
-from repro.multicast.delivery import DuplicateDeliveryError
 from repro.overlay.base import Node, Overlay, RingSnapshot
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_neighbor_groups
@@ -56,6 +57,24 @@ from repro.trace.tracer import TRACER
 UNREACHED = -1
 
 
+class DuplicateDeliveryError(AssertionError):
+    """A node received the same multicast message twice.
+
+    For CAM-Chord this is an algorithm-invariant violation (the region
+    splitting is supposed to partition ``(x, k]``); the trees raise
+    rather than silently double-counting.
+    """
+
+
+def _require_member(snapshot: RingSnapshot, ident: int) -> int:
+    """Member index of ``ident``; a non-member is an error."""
+    idents = snapshot.identifiers
+    position = bisect_left(idents, ident)
+    if position == len(idents) or idents[position] != ident:
+        raise ValueError(f"node {ident} is not a member of the tree's snapshot")
+    return position
+
+
 class FlatTree:
     """One implicit multicast tree as flat arrays, lazily dict-viewable.
 
@@ -63,12 +82,14 @@ class FlatTree:
 
     * ``parent_index[i]`` — member index of the node that forwarded to
       ``i`` (the source maps to itself, unreached members to ``-1``);
-    * ``depth[i]`` — overlay hops from the source (``-1`` unreached);
+    * ``depth_array[i]`` — overlay hops from the source (``-1``
+      unreached);
     * ``child_count[i]`` — out-degree of ``i`` in the tree;
-    * ``order`` — member indices in delivery (breadth-first) order,
-      source first: exactly the insertion order the legacy recorder's
-      dicts would have, which is what keeps the materialized views —
-      and everything downstream of their iteration order — identical.
+    * ``order`` — member indices in delivery order, source first and
+      every parent before its children (breadth-first for the kernel
+      and the queue-driven recorders, graft order for the reverse-path
+      shared tree).  The materialized views and every consumer that iterates
+      them follow this order.
     """
 
     __slots__ = (
@@ -101,6 +122,43 @@ class FlatTree:
         self.messages_sent = len(order) - 1
         self._parent_map: dict[int, int | None] | None = None
         self._depth_map: dict[int, int] | None = None
+
+    @classmethod
+    def rooted(cls, snapshot: RingSnapshot, source_ident: int) -> FlatTree:
+        """A tree in which only the source holds the message, for
+        producers that add one delivery at a time."""
+        source = _require_member(snapshot, source_ident)
+        count = len(snapshot)
+        parent_index = array("l", [UNREACHED]) * count
+        depths = array("l", [UNREACHED]) * count
+        parent_index[source] = source
+        depths[source] = 0
+        child_count = array("l", [0]) * count
+        order = array("l", [source])
+        return cls(snapshot, source_ident, parent_index, depths, child_count, order)
+
+    def record_delivery(self, child_ident: int, parent_ident: int) -> None:
+        """Record that ``parent_ident`` forwarded the message to
+        ``child_ident`` (one overlay hop)."""
+        child = _require_member(self.snapshot, child_ident)
+        parent = _require_member(self.snapshot, parent_ident)
+        depths = self.depth_array
+        if depths[child] >= 0:
+            raise DuplicateDeliveryError(
+                f"node {child_ident} received the message twice "
+                f"(parents {self.parent[child_ident]} and {parent_ident})"
+            )
+        if depths[parent] < 0:
+            raise ValueError(
+                f"parent {parent_ident} forwarded before receiving the message"
+            )
+        self.parent_index[child] = parent
+        depths[child] = depths[parent] + 1
+        self.child_count[parent] += 1
+        self.order.append(child)
+        self.messages_sent += 1
+        self._parent_map = None
+        self._depth_map = None
 
     # -- index helpers --------------------------------------------------
 
@@ -137,7 +195,7 @@ class FlatTree:
             self._depth_map = {idents[index]: depths[index] for index in self.order}
         return self._depth_map
 
-    # -- MulticastResult vocabulary (fused array passes) ----------------
+    # -- tree structure (fused array passes) ----------------------------
 
     def was_delivered(self, ident: int) -> bool:
         """True when the node received the message."""
@@ -151,36 +209,41 @@ class FlatTree:
 
     def children_counts(self) -> Counter[int]:
         """Out-degree of every receiver (leaves included with 0), in
-        delivery order — the legacy recorder's Counter, reproduced."""
+        delivery order."""
         perf.COUNTERS.array_passes += 1
         idents = self.snapshot.identifiers
         counts = self.child_count
         return Counter({idents[index]: counts[index] for index in self.order})
 
-    def forward_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The tree's forwarding schedule as ``(parent ident, child
-        idents)`` pairs — the template the service plane's epoch cache
-        freezes once per (membership epoch, source).
+    def child_indices(self) -> dict[int, list[int]]:
+        """The tree's adjacency over member indices: parent -> children.
 
-        Parents appear in the order their first child is delivered and
-        each child tuple is in delivery order, which is exactly the
-        adjacency (and its iteration order) a consumer would get by
-        grouping the materialized :attr:`parent` dict — so a schedule
-        replayed from these steps issues its per-edge work in the same
-        sequence a per-edge walk of the object view would.
+        Parents appear in the order their first child was delivered and
+        each child list is in delivery order — the grouping a per-edge
+        walk of :attr:`parent` produces, so a schedule replayed from it
+        issues its per-edge work in that walk's sequence.  A structural
+        view like :attr:`parent_index` (it books no metric pass); the
+        backup planner walks it directly, :meth:`forward_steps` names it.
         """
-        perf.COUNTERS.array_passes += 1
-        idents = self.snapshot.identifiers
         parent_index = self.parent_index
         kids: dict[int, list[int]] = {}
         for index in self.order:
             parent = parent_index[index]
-            if parent == index or parent == UNREACHED:
-                continue
-            kids.setdefault(parent, []).append(index)
+            if parent != index:
+                kids.setdefault(parent, []).append(index)
+        return kids
+
+    def forward_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The tree's forwarding schedule as ``(parent ident, child
+        idents)`` pairs — :meth:`child_indices` in identifiers.  The
+        service plane's epoch cache freezes it once per (membership
+        epoch, source); the timed transfer pipelines packets along it.
+        """
+        perf.COUNTERS.array_passes += 1
+        idents = self.snapshot.identifiers
         return tuple(
             (idents[parent], tuple(idents[child] for child in children))
-            for parent, children in kids.items()
+            for parent, children in self.child_indices().items()
         )
 
     def internal_nodes(self) -> list[int]:
@@ -451,7 +514,8 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
     Forwarding decisions are identical to
     :func:`repro.multicast.cam_koorde.flood_multicast` with no fanout
     cap — the CSR rows reproduce ``overlay.neighbors`` order exactly —
-    but each delivery is two array stores instead of two dict inserts.
+    but neighbors come from the memoized adjacency as member indices,
+    so a delivery resolves no identifier.
     """
     snapshot = overlay.snapshot
     state = _flood_state(overlay)

@@ -12,11 +12,12 @@ Koorde.
 
 from __future__ import annotations
 
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
 from repro.overlay.koorde import KoordeOverlay
 
 
-def koorde_flood(overlay: KoordeOverlay, source: Node):
+def koorde_flood(overlay: KoordeOverlay, source: Node) -> FlatTree:
     """Flood from ``source`` over the Koorde links.
 
     Connectivity note: de Bruijn links plus the ring (every node knows
@@ -26,6 +27,7 @@ def koorde_flood(overlay: KoordeOverlay, source: Node):
     kernel (:mod:`repro.multicast.kernel`) over the overlay's memoized
     CSR adjacency.
     """
+    # resolved per call (see cam_chord.cam_chord_multicast)
     from repro.multicast.kernel import flood_tree
 
     return flood_tree(overlay, source)

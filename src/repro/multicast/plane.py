@@ -69,6 +69,7 @@ from repro.systems import DEFAULT_UNIFORM_FANOUT
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+    from repro.multicast.kernel import FlatTree
     from repro.multicast.session import SystemKind
     from repro.systems import SystemDescriptor
     from repro.workloads.groups import ServiceEvent
@@ -364,7 +365,7 @@ class _SendTemplate:
     def __init__(
         self,
         source_ident: int,
-        tree: Any,
+        tree: FlatTree,
         messages_sent: int,
         children_of: dict[int, tuple[tuple[int, float], ...]],
         bandwidth_of: dict[int, float],
@@ -397,19 +398,6 @@ class _CachedSend:
         self.context = context
         self.template = template
         self.remaining = template.member_count - 1  # everyone but the source
-
-
-def _forward_steps_from_parent(tree: Any) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(parent, children) steps for trees without ``forward_steps``
-    (the legacy dict-based :class:`MulticastResult`), grouped in the
-    same first-delivery order the kernel's flat arrays produce."""
-    children: dict[int, list[int]] = {}
-    for child, parent in tree.parent.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(child)
-    return tuple(
-        (parent, tuple(kids)) for parent, kids in children.items()
-    )
 
 
 @dataclass
@@ -914,14 +902,9 @@ class ServicePlane:
         tree = group.multicast_from(group.snapshot.node_at(source_ident))
         host_of = context.host_of
         bandwidths = self.service.hosts  # one dict copy per template
-        steps = (
-            tree.forward_steps()
-            if hasattr(tree, "forward_steps")
-            else _forward_steps_from_parent(tree)
-        )
         children_of: dict[int, tuple[tuple[int, float], ...]] = {}
         bandwidth_of: dict[int, float] = {}
-        for parent, kids in steps:
+        for parent, kids in tree.forward_steps():
             host = host_of[parent]
             bandwidth_of[parent] = bandwidths[host]
             children_of[parent] = tuple(

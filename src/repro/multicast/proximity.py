@@ -24,7 +24,7 @@ import math
 from collections import deque
 from typing import Callable
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
 from repro.overlay.cam_chord import CamChordOverlay, level_and_sequence
 
@@ -95,9 +95,9 @@ def pns_cam_chord_multicast(
     source: Node,
     delay: DelayFunction,
     probe_limit: int = 16,
-) -> MulticastResult:
+) -> FlatTree:
     """Full multicast with proximity neighbor selection at every hop."""
-    result = MulticastResult(source_ident=source.ident)
+    result = FlatTree.rooted(overlay.snapshot, source.ident)
     initial_limit = overlay.space.sub(source.ident, 1)
     queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
     while queue:
@@ -111,29 +111,18 @@ def pns_cam_chord_multicast(
 
 
 def tree_delay_statistics(
-    result: MulticastResult, delay: DelayFunction
+    result: FlatTree, delay: DelayFunction
 ) -> tuple[float, float]:
     """(mean, max) end-to-end delay from the source over all receivers.
 
     A receiver's delay is the sum of per-hop delays along its delivery
     path — the latency a pipelined transfer would see.
     """
-    total: dict[int, float] = {result.source_ident: 0.0}
-    worst = 0.0
-    # parents always precede children in a BFS-recorded delivery map,
-    # but be defensive: resolve recursively.
-
-    def delay_of(ident: int) -> float:
-        if ident in total:
-            return total[ident]
-        parent = result.parent[ident]
-        assert parent is not None
-        value = delay_of(parent) + delay(parent, ident)
-        total[ident] = value
-        return value
-
-    for ident in result.parent:
-        worst = max(worst, delay_of(ident))
+    # a tree lists every parent before its children, so one pass in
+    # delivery order sums each path
+    total: dict[int, float] = {}
+    for ident, parent in result.parent.items():
+        total[ident] = 0.0 if parent is None else total[parent] + delay(parent, ident)
     others = [value for ident, value in total.items() if ident != result.source_ident]
     mean = sum(others) / len(others) if others else 0.0
-    return mean, worst
+    return mean, max(total.values())

@@ -27,90 +27,53 @@ approach:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node, Overlay, RingSnapshot
 
 
-@dataclass
-class SharedTree:
-    """One group's shared multicast tree on a global overlay.
-
-    ``parent`` maps member identifiers to their tree parent (root maps
-    to ``None``); ``depth`` is the distance to the root.
-    """
-
-    root_ident: int
-    parent: dict[int, int | None] = field(default_factory=dict)
-    depth: dict[int, int] = field(default_factory=dict)
-
-    def children_counts(self) -> dict[int, int]:
-        """Out-degree of every tree node."""
-        counts: dict[int, int] = {ident: 0 for ident in self.parent}
-        for child, parent in self.parent.items():
-            if parent is not None:
-                counts[parent] += 1
-        return counts
-
-    def capacity_violations(self, snapshot: RingSnapshot) -> dict[int, int]:
-        """Nodes whose tree out-degree exceeds their capacity, with the
-        excess — the §5.1 "disparity" made concrete."""
-        violations: dict[int, int] = {}
-        for ident, count in self.children_counts().items():
-            capacity = snapshot.node_at(ident).capacity
-            if count > capacity:
-                violations[ident] = count - capacity
-        return violations
-
-    def delivery_path_length(self, source_ident: int, member_ident: int) -> int:
-        """Overlay hops from ``source`` to ``member`` through the root:
-        up the source's branch, down the member's."""
-        if source_ident not in self.depth or member_ident not in self.depth:
-            raise KeyError("both endpoints must be tree members")
-        return self.depth[source_ident] + self.depth[member_ident]
-
-    def forwarding_load(
-        self, message_count: int, message_kbits: float = 1.0
-    ) -> Mapping[int, float]:
-        """Kilobits each member relays when ``message_count`` messages
-        (from arbitrary sources) all traverse the shared tree downward.
-
-        The root-ward unicast legs are excluded, as in the paper's
-        Section 5.1 accounting (they are ordinary unicast traffic).
-        """
-        return {
-            ident: count * message_count * message_kbits
-            for ident, count in self.children_counts().items()
-        }
-
-
-def build_shared_tree(overlay: Overlay, group_key: int) -> SharedTree:
+def build_shared_tree(overlay: Overlay, group_key: int) -> FlatTree:
     """Reverse-path-forwarding construction over every member.
 
     Each member's JOIN follows the overlay's LOOKUP route toward the
     group key; the traversed nodes are grafted onto the tree in root-to-
     member order (so parents always exist before their children), and a
-    branch stops growing where it meets the existing tree.
+    branch stops growing where it meets the existing tree.  The tree's
+    source is the rendezvous root; its forwarding load under ``m``
+    messages is :func:`repro.metrics.load.single_tree_load`.
     """
     snapshot = overlay.snapshot
     root = snapshot.resolve(group_key)
-    tree = SharedTree(root_ident=root.ident)
-    tree.parent[root.ident] = None
-    tree.depth[root.ident] = 0
+    tree = FlatTree.rooted(snapshot, root.ident)
     for member in snapshot:
-        if member.ident in tree.parent:
+        if tree.was_delivered(member.ident):
             continue
         route = _join_route(overlay, member, group_key, root)
         # route runs member -> ... -> root; graft from the root end down
         for position in range(len(route) - 2, -1, -1):
             node = route[position]
-            towards_root = route[position + 1]
-            if node.ident in tree.parent:
-                continue
-            tree.parent[node.ident] = towards_root.ident
-            tree.depth[node.ident] = tree.depth[towards_root.ident] + 1
+            if not tree.was_delivered(node.ident):
+                tree.record_delivery(node.ident, route[position + 1].ident)
     return tree
+
+
+def capacity_violations(tree: FlatTree, snapshot: RingSnapshot) -> dict[int, int]:
+    """Nodes whose tree out-degree exceeds their capacity, with the
+    excess — the §5.1 "disparity" made concrete."""
+    violations: dict[int, int] = {}
+    for ident, count in tree.children_counts().items():
+        capacity = snapshot.node_at(ident).capacity
+        if count > capacity:
+            violations[ident] = count - capacity
+    return violations
+
+
+def delivery_path_length(tree: FlatTree, source_ident: int, member_ident: int) -> int:
+    """Overlay hops from ``source`` to ``member`` through the shared
+    tree's root: up the source's branch, down the member's."""
+    depth = tree.depth
+    if source_ident not in depth or member_ident not in depth:
+        raise KeyError("both endpoints must be tree members")
+    return depth[source_ident] + depth[member_ident]
 
 
 def _join_route(

@@ -37,11 +37,11 @@ class PerfCounters:
     built by it, ``kernel_resolves`` identifier resolutions spent
     filling its per-overlay memoized neighbor/slot tables (one-time
     cost per overlay), ``kernel_resolves_saved`` slot lookups answered
-    from a table that the legacy data plane would have re-resolved,
+    from a table that the reference recorder would have re-resolved,
     ``kernel_state_evictions`` memoized neighbor states dropped by the
     kernel's bounded LRU (long campaigns over many overlays re-fill
     instead of leaking), and ``array_passes`` fused single-pass metric
-    sweeps over the kernel's arrays.
+    sweeps over a tree's arrays.
 
     The ``schedule_cache_*`` / ``wavefront_commits`` counters
     instrument the service plane's epoch-cached dissemination

@@ -11,8 +11,10 @@ describes ("a node does not have to wait for the entire message to
 arrive before forwarding it").
 
 For a message much longer than the tree is deep, the measured session
-rate converges to the analytic bottleneck; for short messages the
-propagation term dominates.  Experiment extH sweeps both regimes.
+rate converges to the analytic bottleneck
+(:func:`repro.metrics.throughput.sustainable_throughput`); for short
+messages the propagation term dominates.  Experiment extH sweeps both
+regimes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import RingSnapshot
 
 #: per-hop one-way latency in seconds: (parent_ident, child_ident) -> s
@@ -133,7 +135,7 @@ class TransferResult:
 
 
 def simulate_tree_transfer(
-    tree: MulticastResult,
+    tree: FlatTree,
     snapshot: RingSnapshot,
     message_kbits: float,
     packet_count: int = 32,
@@ -173,10 +175,7 @@ def simulate_tree_transfer(
     key = host_key if host_key is not None else (lambda ident: ident)
     packet_kbits = message_kbits / packet_count
 
-    children: dict[int, list[int]] = {ident: [] for ident in tree.parent}
-    for child, parent in tree.parent.items():
-        if parent is not None:
-            children[parent].append(child)
+    children = dict(tree.forward_steps())
 
     # arrival[v][i] = when packet i has fully arrived at v
     source = tree.source_ident
@@ -187,7 +186,7 @@ def simulate_tree_transfer(
     queue: deque[int] = deque([source])
     while queue:
         parent = queue.popleft()
-        kids = children[parent]
+        kids = children.get(parent)
         if not kids:
             continue
         node = snapshot.node_at(parent)
@@ -258,7 +257,7 @@ def simulate_tree_transfer(
 
 
 def delivery_timeline(
-    tree: MulticastResult,
+    tree: FlatTree,
     snapshot: RingSnapshot,
     message_kbits: float,
     hop_latency: HopLatency | None = None,
@@ -296,16 +295,3 @@ def delivery_timeline(
         host_key=host_key,
     )
     return dict(result.completion_time)
-
-
-def analytic_bottleneck_kbps(tree: MulticastResult, snapshot: RingSnapshot) -> float:
-    """The Section 6.1 model: ``min over internal x of B_x / d_x``."""
-    best: float | None = None
-    for ident, count in tree.children_counts().items():
-        if count == 0:
-            continue
-        allocation = snapshot.node_at(ident).bandwidth_kbps / count
-        best = allocation if best is None else min(best, allocation)
-    if best is None:
-        return snapshot.node_at(tree.source_ident).bandwidth_kbps
-    return best

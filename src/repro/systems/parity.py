@@ -36,7 +36,7 @@ from repro.systems.registry import resolve
 from repro.systems.spec import MemberSpec
 
 if TYPE_CHECKING:
-    from repro.multicast.delivery import MulticastResult
+    from repro.multicast.kernel import FlatTree
     from repro.trace.causal import MulticastRecord
 
 
@@ -73,7 +73,7 @@ def _compare(
     descriptor: SystemDescriptor,
     source: int,
     members: frozenset[int],
-    static: "MulticastResult",
+    static: "FlatTree",
     record: "MulticastRecord",
 ) -> ParityReport:
     static_depths = dict(static.depth)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from repro.idspace.ring import IdentifierSpace
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node, RingSnapshot
 
 
@@ -27,6 +28,17 @@ def make_snapshot(
         for i, ident in enumerate(idents)
     ]
     return RingSnapshot(IdentifierSpace(bits), nodes)
+
+
+def recorded_tree(
+    snapshot: RingSnapshot, source: int, edges: list[tuple[int, int]] = ()
+) -> FlatTree:
+    """A tree over ``snapshot`` rooted at ``source`` with the ``(parent,
+    child)`` deliveries of ``edges`` recorded in order."""
+    tree = FlatTree.rooted(snapshot, source)
+    for parent, child in edges:
+        tree.record_delivery(child, parent)
+    return tree
 
 
 def random_snapshot(

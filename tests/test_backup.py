@@ -107,7 +107,7 @@ def descendants(plan: BackupPlan, root: int) -> set[int]:
 @given(idents=memberships, caps=cap_pools, system=systems)
 def test_backup_covers_exactly_the_orphan_set(idents, caps, system):
     descriptor, tree, capacities = build_tree(system, idents, caps)
-    plan = build_backup_plan(tree, descriptor)
+    plan = build_backup_plan(tree)
     assert set(plan.routes) == set(plan.epoch_members) - {plan.source}
     for child, route in plan.routes.items():
         assert set(plan.orphans_of_edge(route.parent, child)) == descendants(
@@ -129,7 +129,7 @@ def test_backup_candidates_never_cycle(idents, caps, system):
     strictly last: admissible only for pure edge failures, where the
     parent survives and still holds the message."""
     descriptor, tree, capacities = build_tree(system, idents, caps)
-    plan = build_backup_plan(tree, descriptor)
+    plan = build_backup_plan(tree)
     for ident, route in plan.routes.items():
         blocked = descendants(plan, ident)
         assert ident in blocked  # own subtree includes the member
@@ -149,7 +149,7 @@ def test_failover_partitions_orphans_within_fanout_bounds(
     idents, caps, victim_index, system
 ):
     descriptor, tree, capacities = build_tree(system, idents, caps)
-    plan = build_backup_plan(tree, descriptor)
+    plan = build_backup_plan(tree)
     non_source = sorted(set(plan.epoch_members) - {plan.source})
     victim = non_source[victim_index % len(non_source)]
     record = orphan_record(tree, descriptor, capacities, plan, victim)
@@ -185,10 +185,10 @@ def test_failover_partitions_orphans_within_fanout_bounds(
 @given(idents=memberships, caps=cap_pools, system=systems)
 def test_backup_plan_deterministic_across_two_builds(idents, caps, system):
     """Two fully independent builds — snapshot up — are value-equal."""
-    descriptor_a, tree_a, _ = build_tree(system, idents, caps)
-    descriptor_b, tree_b, _ = build_tree(system, idents, caps)
-    plan_a = build_backup_plan(tree_a, descriptor_a)
-    plan_b = build_backup_plan(tree_b, descriptor_b)
+    _, tree_a, _ = build_tree(system, idents, caps)
+    _, tree_b, _ = build_tree(system, idents, caps)
+    plan_a = build_backup_plan(tree_a)
+    plan_b = build_backup_plan(tree_b)
     assert plan_a == plan_b
 
 

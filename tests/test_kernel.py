@@ -1,10 +1,10 @@
-"""Kernel/legacy equivalence: the flat-array trees ARE the object trees.
+"""Kernel/reference equivalence: one-pass trees equal recorded trees.
 
 The flat-array kernel (:mod:`repro.multicast.kernel`) must reproduce
 the ``record_delivery``-built reference recorders *edge for edge* —
 same parents, same depths, same children counts, and the same delivery
-order (the reference dicts' insertion order), because downstream
-consumers iterate the views and their output depends on that order.
+order (the reference recording order), because downstream consumers
+iterate the views and their output depends on that order.
 Property-tested here for all four registry systems over random
 memberships, capacities and sources.
 """
@@ -34,7 +34,7 @@ def cycle_capacities(caps: list[int], count: int, floor: int) -> list[int]:
 
 
 def assert_same_tree(flat: FlatTree, reference) -> None:
-    """Edge-for-edge, order-for-order equality of the two data planes."""
+    """Edge-for-edge, order-for-order equality of the two builders."""
     assert isinstance(flat, FlatTree)
     assert flat.source_ident == reference.source_ident
     assert flat.messages_sent == reference.messages_sent
@@ -52,7 +52,7 @@ def assert_same_tree(flat: FlatTree, reference) -> None:
     assert flat.average_path_length() == reference.average_path_length()
     assert flat.max_path_length() == reference.max_path_length()
     assert sorted(flat.internal_nodes()) == sorted(reference.internal_nodes())
-    # the fused one-pass summary equals the dict-walking one exactly
+    assert flat.forward_steps() == reference.forward_steps()
     assert summarize_tree(flat) == summarize_tree(reference)
 
 

@@ -11,27 +11,30 @@ from repro.metrics.throughput import (
     sustainable_throughput,
 )
 from repro.metrics.tree_stats import summarize_tree
-from repro.multicast.delivery import DuplicateDeliveryError, MulticastResult
-from tests.conftest import make_snapshot
+from repro.multicast.kernel import DuplicateDeliveryError, FlatTree
+from tests.conftest import make_snapshot, recorded_tree
 
 
-def star_tree(center: int, leaves: list[int]) -> MulticastResult:
-    result = MulticastResult(source_ident=center)
-    for leaf in leaves:
-        result.record_delivery(leaf, center)
-    return result
+def lone_tree(ident: int) -> FlatTree:
+    return FlatTree.rooted(make_snapshot(8, [ident]), ident)
 
 
-def chain_tree(idents: list[int]) -> MulticastResult:
-    result = MulticastResult(source_ident=idents[0])
-    for parent, child in zip(idents, idents[1:]):
-        result.record_delivery(child, parent)
-    return result
+def star_tree(center: int, leaves: list[int], snapshot=None) -> FlatTree:
+    if snapshot is None:
+        snapshot = make_snapshot(8, sorted({center, *leaves}))
+    return recorded_tree(snapshot, center, [(center, leaf) for leaf in leaves])
+
+
+def chain_tree(idents: list[int]) -> FlatTree:
+    snapshot = make_snapshot(8, sorted(idents))
+    return recorded_tree(snapshot, idents[0], list(zip(idents, idents[1:])))
 
 
 class TestMulticastResult:
+    """The recording and query vocabulary of one multicast's tree."""
+
     def test_source_recorded_at_depth_zero(self):
-        result = MulticastResult(source_ident=5)
+        result = lone_tree(5)
         assert result.depth[5] == 0
         assert result.parent[5] is None
         assert result.receiver_count == 1
@@ -42,7 +45,7 @@ class TestMulticastResult:
             result.record_delivery(1, 2)
 
     def test_forward_before_receive_rejected(self):
-        result = MulticastResult(source_ident=0)
+        result = FlatTree.rooted(make_snapshot(8, [0, 5, 99]), 0)
         with pytest.raises(ValueError, match="before receiving"):
             result.record_delivery(5, 99)
 
@@ -60,7 +63,7 @@ class TestMulticastResult:
         assert result.max_path_length() == 2
 
     def test_average_path_single_node(self):
-        result = MulticastResult(source_ident=3)
+        result = lone_tree(3)
         assert result.average_path_length() == 0.0
 
     def test_verify_exactly_once_missing(self):
@@ -94,7 +97,7 @@ class TestTreeStats:
         assert stats.average_path_length == 2.0
 
     def test_single_node(self):
-        stats = summarize_tree(MulticastResult(source_ident=0))
+        stats = summarize_tree(lone_tree(0))
         assert stats.internal_count == 0
         assert stats.average_children == 0.0
         assert stats.max_children == 0
@@ -104,30 +107,27 @@ class TestThroughput:
     def test_allocations(self):
         snap = make_snapshot(8, [0, 10, 20, 30], capacity=4,
                              bandwidth=[800.0, 600.0, 500.0, 400.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
-        tree.record_delivery(30, 10)
+        tree = recorded_tree(snap, 0, [(0, 10), (0, 20), (10, 30)])
         allocations = allocated_link_bandwidths(tree, snap)
         assert allocations == {0: 400.0, 10: 600.0}
         assert sustainable_throughput(tree, snap) == 400.0
 
     def test_missing_bandwidth_rejected(self):
         snap = make_snapshot(8, [0, 10], capacity=4)
-        tree = star_tree(0, [10])
+        tree = star_tree(0, [10], snap)
         with pytest.raises(ValueError, match="no bandwidth"):
             sustainable_throughput(tree, snap)
 
     def test_single_node_session(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=750.0)
-        tree = MulticastResult(source_ident=0)
+        tree = FlatTree.rooted(snap, 0)
         assert sustainable_throughput(tree, snap) == 750.0
 
     def test_average_children(self):
         assert average_children_per_internal_node(star_tree(0, [1, 2])) == 2
         assert average_children_per_internal_node(chain_tree([0, 1, 2])) == 1
         assert (
-            average_children_per_internal_node(MulticastResult(source_ident=0)) == 0.0
+            average_children_per_internal_node(lone_tree(0)) == 0.0
         )
 
 

@@ -15,7 +15,7 @@ from repro.multicast.proximity import (
 )
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.sim.latency import GeographicLatency
-from tests.conftest import make_snapshot, random_snapshot
+from tests.conftest import make_snapshot, random_snapshot, recorded_tree
 
 
 def geo_delay(seed: int = 0):
@@ -87,19 +87,13 @@ class TestPnsMulticast:
 
 class TestTreeDelayStatistics:
     def test_chain_sums(self):
-        from repro.multicast.delivery import MulticastResult
-
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(1, 0)
-        tree.record_delivery(2, 1)
+        tree = recorded_tree(make_snapshot(4, [0, 1, 2]), 0, [(0, 1), (1, 2)])
         mean, worst = tree_delay_statistics(tree, lambda a, b: 1.5)
         assert worst == 3.0
         assert mean == (1.5 + 3.0) / 2
 
     def test_source_only(self):
-        from repro.multicast.delivery import MulticastResult
-
-        tree = MulticastResult(source_ident=0)
+        tree = recorded_tree(make_snapshot(4, [0]), 0)
         mean, worst = tree_delay_statistics(tree, lambda a, b: 1.0)
         assert mean == 0.0
         assert worst == 0.0

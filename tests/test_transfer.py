@@ -6,28 +6,20 @@ from random import Random
 
 import pytest
 
-from repro.multicast.delivery import MulticastResult
-from repro.sim.transfer import (
-    analytic_bottleneck_kbps,
-    simulate_tree_transfer,
-)
-from tests.conftest import make_snapshot
+from repro.metrics.throughput import sustainable_throughput
+from repro.sim.transfer import simulate_tree_transfer
+from tests.conftest import make_snapshot, recorded_tree
 
 
-def two_level_tree() -> MulticastResult:
+def two_level_tree(snap):
     # 0 -> {10, 20}; 10 -> {30}
-    tree = MulticastResult(source_ident=0)
-    tree.record_delivery(10, 0)
-    tree.record_delivery(20, 0)
-    tree.record_delivery(30, 10)
-    return tree
+    return recorded_tree(snap, 0, [(0, 10), (0, 20), (10, 30)])
 
 
 class TestSingleHop:
     def test_one_child_times(self):
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=[100.0, 100.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = recorded_tree(snap, 0, [(0, 10)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=4)
         # full uplink to one child: 100 kbits at 100 kbps = 1 s total
         assert result.completion_time[10] == pytest.approx(1.0)
@@ -39,9 +31,7 @@ class TestSingleHop:
         snap = make_snapshot(
             8, [0, 10, 20], capacity=4, bandwidth=[100.0, 100.0, 100.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
+        tree = recorded_tree(snap, 0, [(0, 10), (0, 20)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=4)
         # each child gets a 50-kbps share: 2 s for 100 kbits
         assert result.completion_time[10] == pytest.approx(2.0)
@@ -56,9 +46,7 @@ class TestPipelining:
         snap = make_snapshot(
             8, [0, 10, 30], capacity=4, bandwidth=[100.0, 100.0, 100.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(30, 10)
+        tree = recorded_tree(snap, 0, [(0, 10), (10, 30)])
         many = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=100)
         # store-and-forward of the full message would take 2.0 s; with
         # 100-packet pipelining the second hop trails by one packet slot
@@ -70,17 +58,14 @@ class TestPipelining:
         snap = make_snapshot(
             8, [0, 10, 30], capacity=4, bandwidth=[1000.0, 50.0, 1000.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(30, 10)
+        tree = recorded_tree(snap, 0, [(0, 10), (10, 30)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=50)
         # node 30 receives at node 10's 50 kbps, not the source's 1000
         assert result.member_throughput_kbps(30) == pytest.approx(50.0, rel=0.05)
 
     def test_latency_adds_to_startup_not_rate(self):
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=[100.0, 100.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = recorded_tree(snap, 0, [(0, 10)])
         with_lat = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=10,
             hop_latency=lambda a, b: 0.5,
@@ -108,7 +93,7 @@ class TestAnalyticAgreement:
         overlay = CamChordOverlay(snap)
         tree = cam_chord_multicast(overlay, snap.nodes[0])
 
-        analytic = analytic_bottleneck_kbps(tree, snap)
+        analytic = sustainable_throughput(tree, snap)
         long_result = simulate_tree_transfer(
             tree, snap, message_kbits=50_000, packet_count=64
         )
@@ -138,32 +123,31 @@ class TestAnalyticAgreement:
             )
             assert (
                 result.measured_throughput_kbps
-                <= analytic_bottleneck_kbps(tree, snap) * 1.0001
+                <= sustainable_throughput(tree, snap) * 1.0001
             )
 
 
 class TestValidation:
     def test_bad_inputs(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
+        tree = recorded_tree(snap, 0)
         with pytest.raises(ValueError):
             simulate_tree_transfer(tree, snap, message_kbits=0)
         with pytest.raises(ValueError):
             simulate_tree_transfer(tree, snap, message_kbits=10, packet_count=0)
 
     def test_missing_bandwidth_rejected(self):
-        snap = make_snapshot(8, [0, 10], capacity=4)  # no bandwidths
-        tree = two_level_tree()
-        snap2 = make_snapshot(8, [0, 10, 20, 30], capacity=4)
+        snap = make_snapshot(8, [0, 10, 20, 30], capacity=4)  # no bandwidths
+        tree = two_level_tree(snap)
         with pytest.raises(ValueError, match="bandwidth"):
-            simulate_tree_transfer(tree, snap2, message_kbits=10)
+            simulate_tree_transfer(tree, snap, message_kbits=10)
 
     def test_source_only(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=500.0)
-        tree = MulticastResult(source_ident=0)
+        tree = recorded_tree(snap, 0)
         result = simulate_tree_transfer(tree, snap, message_kbits=10)
         assert result.session_completion == 0.0
-        assert analytic_bottleneck_kbps(tree, snap) == 500.0
+        assert sustainable_throughput(tree, snap) == 500.0
 
 
 class TestUplinkBudget:
@@ -240,9 +224,7 @@ class TestBudgetHook:
         # two sends rooted at the same host against one shared budget:
         # the second must queue behind the first's serialization
         snap = make_snapshot(8, [0, 10, 20], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
+        tree = recorded_tree(snap, 0, [(0, 10), (0, 20)])
         budget = UplinkBudget()
         first = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=2, budget=budget
@@ -261,8 +243,7 @@ class TestBudgetHook:
         from repro.sim.transfer import UplinkBudget
 
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = recorded_tree(snap, 0, [(0, 10)])
         budget = UplinkBudget()
         result = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=4,
@@ -276,8 +257,7 @@ class TestBudgetHook:
         from repro.sim.transfer import UplinkBudget
 
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = recorded_tree(snap, 0, [(0, 10)])
         budget = UplinkBudget()
         simulate_tree_transfer(
             tree, snap, message_kbits=10, packet_count=1,

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multicast.tree_building import build_shared_tree
+from repro.metrics.load import single_tree_load
+from repro.multicast.tree_building import (
+    build_shared_tree,
+    capacity_violations,
+    delivery_path_length,
+)
 from repro.overlay.cam_chord import CamChordOverlay
 from tests.conftest import make_snapshot, random_snapshot
 
@@ -24,9 +28,9 @@ class TestConstruction:
         overlay = CamChordOverlay(snap)
         key = 999
         tree = build_shared_tree(overlay, group_key=key)
-        assert tree.root_ident == snap.resolve(key).ident
-        assert tree.parent[tree.root_ident] is None
-        assert tree.depth[tree.root_ident] == 0
+        assert tree.source_ident == snap.resolve(key).ident
+        assert tree.parent[tree.source_ident] is None
+        assert tree.depth[tree.source_ident] == 0
 
     def test_acyclic_and_rooted(self):
         snap = random_snapshot(12, 150, seed=3)
@@ -39,7 +43,7 @@ class TestConstruction:
                 assert current not in seen  # no cycles
                 seen.add(current)
                 current = tree.parent[current]
-            assert tree.root_ident in seen
+            assert tree.source_ident in seen
 
     def test_depths_consistent(self):
         snap = random_snapshot(12, 100, seed=4)
@@ -82,7 +86,7 @@ class TestSection51Properties:
         snap = random_snapshot(13, 1000, seed=6, capacity_range=(4, 6))
         overlay = CamChordOverlay(snap)
         tree = build_shared_tree(overlay, group_key=31337)
-        violations = tree.capacity_violations(snap)
+        violations = capacity_violations(tree, snap)
         assert violations  # at least one overloaded node
         counts = tree.children_counts()
         assert max(counts.values()) > 6
@@ -92,17 +96,17 @@ class TestSection51Properties:
         overlay = CamChordOverlay(snap)
         tree = build_shared_tree(overlay, group_key=11)
         a, b = snap.nodes[3].ident, snap.nodes[60].ident
-        assert tree.delivery_path_length(a, b) == tree.depth[a] + tree.depth[b]
+        assert delivery_path_length(tree, a, b) == tree.depth[a] + tree.depth[b]
         with pytest.raises(KeyError):
-            tree.delivery_path_length(a, 123456)
+            delivery_path_length(tree, a, 123456)
 
     def test_forwarding_load_excludes_leaves(self):
         snap = random_snapshot(12, 300, seed=8)
         overlay = CamChordOverlay(snap)
         tree = build_shared_tree(overlay, group_key=99)
-        load = tree.forwarding_load(message_count=10, message_kbits=2.0)
+        load = single_tree_load(tree, message_count=10, message_kbits=2.0)
         counts = tree.children_counts()
-        for ident, kbits in load.items():
+        for ident, kbits in load.per_node.items():
             assert kbits == counts[ident] * 20.0
 
 
@@ -118,4 +122,4 @@ def test_tree_spans_all_members_property(idents, key):
     assert set(tree.parent) == set(idents)
     # exactly one root
     roots = [i for i, p in tree.parent.items() if p is None]
-    assert roots == [tree.root_ident]
+    assert roots == [tree.source_ident]
