@@ -19,7 +19,11 @@ result JSON (uploaded as a CI artifact) and fails the process when a
 figure is more than ``--tolerance`` (default 1.3×) slower than the
 committed baseline *and* the slowdown exceeds an absolute noise floor
 (:data:`NOISE_FLOOR_S` — fast figures jitter past any ratio from
-scheduler noise alone).  Quick mode never appends to the trajectory.
+scheduler noise alone).  A figure's baseline is the lower of its latest
+cold median and the median over the last :data:`BASELINE_ENTRIES`
+entries that hold it (:func:`baseline_cold_median`), so one slow
+outlier entry cannot raise the bar it is gated against.  Quick mode
+never appends to the trajectory.
 
 The figure *values* are asserted elsewhere (pytest benchmarks and
 tier-1 tests); this file measures time only.
@@ -55,6 +59,9 @@ QUICK_FIGURES = ("fig6", "fig8", "extL", "extN")
 #: figures (extL at bench scale) jitter past 1.3x from scheduler noise
 #: alone, and a regression that small is not actionable anyway
 NOISE_FLOOR_S = 0.25
+
+#: committed entries whose median can pull a cold-median baseline down
+BASELINE_ENTRIES = 3
 
 #: decades the trajectory's scale-sweep section records (subprocess-
 #: isolated, so each decade's peak RSS is exact)
@@ -394,6 +401,22 @@ def measure(scale, repeats: int, seed: int = 0, profile: Path | None = None) -> 
     }
 
 
+def baseline_cold_median(entries: list[dict], name: str) -> float:
+    """The cold median ``--quick`` gates figure ``name`` against:
+    ``min(latest entry, median of the last BASELINE_ENTRIES entries of
+    the latest entry's scale that hold the figure)``.  Never above the
+    latest entry, so the gate only gets stricter, and an outlier latest
+    entry is replaced by the typical recent run."""
+    latest = entries[-1]
+    held = [
+        entry["figures"][name]["cold_median_s"]
+        for entry in entries
+        if entry["scale"] == latest["scale"] and name in entry["figures"]
+    ]
+    recent = statistics.median(held[-BASELINE_ENTRIES:])
+    return min(latest["figures"][name]["cold_median_s"], recent)
+
+
 def quick_check(
     scale,
     repeats: int,
@@ -404,8 +427,9 @@ def quick_check(
     dps_floor: float = 0.77,
     profile: Path | None = None,
 ) -> int:
-    """The CI perf smoke: gate fig6/fig8 cold medians on the committed
-    baseline.  Returns a process exit code (1 = regression)."""
+    """The CI perf smoke: gate the quick figures' cold medians on the
+    committed baseline (:func:`baseline_cold_median`).  Returns a
+    process exit code (1 = regression)."""
     trajectory = json.loads(trajectory_path.read_text())
     baseline = trajectory["entries"][-1]
     if baseline["scale"] != scale.name:
@@ -425,7 +449,7 @@ def quick_check(
         with perf.scoped() as scope:
             colds = [time_figure(name, scale, seed) for _ in range(repeats)]
         median = statistics.median(colds)
-        committed = baseline["figures"][name]["cold_median_s"]
+        committed = baseline_cold_median(trajectory["entries"], name)
         ratio = median / committed
         ok = ratio <= tolerance or (median - committed) <= NOISE_FLOOR_S
         passed = passed and ok

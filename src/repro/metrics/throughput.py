@@ -55,7 +55,11 @@ def sustainable_throughput(result: FlatTree, snapshot: RingSnapshot) -> float:
     """The session's sustainable data rate in kbps: ``min`` over
     internal nodes of ``B_x / d_x`` as a running minimum, no allocation
     dict (single-node groups have nothing to forward, reported as the
-    source's full bandwidth)."""
+    source's full bandwidth).
+
+    Every bandwidth, the single-node fallback included, is read from
+    the tree's own snapshot; ``snapshot`` is unused and kept only for
+    callers that pass it positionally."""
     perf.COUNTERS.array_passes += 1
     counts = result.child_count
     idents = result.snapshot.identifiers
@@ -76,7 +80,7 @@ def sustainable_throughput(result: FlatTree, snapshot: RingSnapshot) -> float:
         if bottleneck < 0 or allocated < bottleneck:
             bottleneck = allocated
     if bottleneck < 0:
-        return snapshot.node_at(result.source_ident).bandwidth_kbps
+        return bandwidths[result.order[0]]
     return bottleneck
 
 

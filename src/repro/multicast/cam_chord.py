@@ -23,15 +23,17 @@ Two engineering notes beyond the paper's pseudo code:
   Figure 3) requires the ceiling: floor would pick ``x_{2,1}``.  We
   follow the worked example.
 
-The child-selection core is a pure function over a *resolver* so that
-the structural simulation (global membership snapshot) and the live
+The slot order itself (lines 6-15, with that ceiling) has one home:
+:func:`repro.overlay.cam_chord.candidate_slots`.  The child-selection
+core iterates it as a pure function over a *resolver*, so the
+structural simulation (global membership snapshot) and the live
 protocol peers (local, possibly stale neighbor tables) execute the
-identical algorithm.
+identical algorithm, and the flat-array kernel compiles the same
+order into its slot plans.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable
 
@@ -39,7 +41,7 @@ from repro import perf
 from repro.idspace.ring import segment_contains, segment_size
 from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
-from repro.overlay.cam_chord import level_and_sequence
+from repro.overlay.cam_chord import candidate_slots, level_and_sequence
 from repro.trace.tracer import TRACER
 
 #: Maps a neighbor identifier (with its level and sequence number) to
@@ -71,44 +73,24 @@ def select_child_regions(
         return []
     level, sequence = level_and_sequence(distance, capacity)
 
+    # Guarded child sends in candidate_slots order: each selected child
+    # gets (child, remaining_limit] and the remaining region shrinks to
+    # (ident, neighbor_identifier - 1].  The region shrinks only when a
+    # child was actually selected.  On a global snapshot the distinction
+    # is invisible — a skipped span provably holds no member, so whether
+    # it is cut off or rolled into the next child's region, the tree is
+    # the same.  A live peer's resolver, however, answers ``None`` for a
+    # slot it has *no link* for, and members may well live in that
+    # span: leaving the limit untouched hands the span to the next
+    # selected child instead of silently dropping it.
     selected: list[tuple[int, int]] = []
     remaining_limit = limit
-
-    def consider(lvl: int, seq: int) -> None:
-        """Guarded child send: assign (child, remaining_limit] and shrink
-        the remaining region to (ident, neighbor_identifier - 1].
-
-        The region shrinks only when a child was actually selected.  On
-        a global snapshot the distinction is invisible — a skipped
-        span provably holds no member, so whether it is cut off or
-        rolled into the next child's region, the resulting tree is the
-        same.  A live peer's resolver, however, answers ``None`` for a
-        slot it has *no link* for, and members may well live in that
-        span: leaving the limit untouched hands the span to the next
-        selected child instead of silently dropping it.
-        """
-        nonlocal remaining_limit
+    for lvl, seq in candidate_slots(capacity, level, sequence):
         neighbor_ident = (ident + seq * capacity**lvl) % size
         child = resolver(lvl, seq, neighbor_ident)
         if child is not None and segment_contains(child, ident, remaining_limit, size):
             selected.append((child, remaining_limit))
             remaining_limit = (neighbor_ident - 1) % size
-
-    # Lines 6-9: level-i neighbors preceding k, highest sequence first.
-    for seq in range(sequence, 0, -1):
-        consider(level, seq)
-
-    # Lines 10-14: spread the spare capacity over level-(i-1) neighbors,
-    # as evenly separated as possible (ceiling; see module docstring).
-    if level >= 1:
-        position = float(capacity)
-        step = capacity / (capacity - sequence)
-        for _ in range(capacity - sequence - 1):
-            position -= step
-            consider(level - 1, math.ceil(position))
-
-    # Line 15: the successor x_{0,1} picks up whatever remains.
-    consider(0, 1)
     return selected
 
 

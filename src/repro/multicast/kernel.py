@@ -18,6 +18,10 @@ arrays instead of millions of per-node object operations:
   identifier, ever), region splitters get lazy per-node slot tables
   (one resolution per touched ``(level, sequence)`` slot, ever) — so a
   second source over the same overlay performs *zero* bisects;
+* a region splitter reads its candidate-slot order from plans compiled
+  once per ``(fanout, level, sequence)`` and shared by every overlay,
+  from :func:`repro.overlay.cam_chord.candidate_slots` — the one home
+  of the paper's slot rule; the kernel keeps no copy of it;
 * the result is a :class:`FlatTree`, the one tree type of the
   package.  The hot metrics (:mod:`repro.metrics`) read its arrays
   directly in fused single passes; the ``parent`` / ``depth`` dicts
@@ -43,11 +47,10 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict, deque
-from math import ceil
 
 from repro import perf
 from repro.overlay.base import Node, Overlay, RingSnapshot
-from repro.overlay.cam_chord import CamChordOverlay
+from repro.overlay.cam_chord import CamChordOverlay, candidate_slots
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_neighbor_groups
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
@@ -403,15 +406,14 @@ class _SplitState:
 
     ``tables[i]`` maps a node's flat slot index ``level * (c - 1) +
     (sequence - 1)`` to the member index responsible for the slot's
-    identifier, filled on first touch (-1 = not yet resolved).  Power
-    ladders ``c**level`` are shared across nodes of equal fanout.
+    identifier, filled on first touch (-1 = not yet resolved).
 
     The fanout column comes straight from the snapshot's capacity
     array for the capacity-aware splitter and is a constant fill for
     the uniform baseline — neither materializes nodes.
     """
 
-    __slots__ = ("fanouts", "tables", "_powers")
+    __slots__ = ("fanouts", "tables")
 
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
@@ -423,20 +425,23 @@ class _SplitState:
         else:
             self.fanouts = array("l", [overlay.fanout(node) for node in snapshot])
         self.tables: list[array | None] = [None] * count
-        self._powers: dict[int, tuple[int, ...]] = {}
 
-    def powers(self, fanout: int, size: int) -> tuple[int, ...]:
-        """The ladder ``(1, c, c**2, ...)`` of powers below ``size``."""
-        ladder = self._powers.get(fanout)
-        if ladder is None:
-            out = []
-            power = 1
-            while power < size:
-                out.append(power)
-                power *= fanout
-            ladder = tuple(out)
-            self._powers[fanout] = ladder
-        return ladder
+
+#: ring size -> fanout -> (ladder, plans), shared by every overlay.
+_SLOT_PLANS: dict[int, dict[int, tuple[tuple[int, ...], list]]] = {}
+
+
+def _slot_plans(size: int, fanout: int) -> tuple[tuple[int, ...], list]:
+    """The ladder ``(1, c, c**2, ...)`` of powers below ``size`` and the
+    slot plans of fanout ``c``: entry ``level * c + sequence`` is
+    :func:`candidate_slots` compiled to ``(flat slot, seq * c**lvl)``
+    pairs, filled on first use by :func:`region_split_tree`."""
+    ladder = []
+    power = 1
+    while power < size:
+        ladder.append(power)
+        power *= fanout
+    return tuple(ladder), [None] * (len(ladder) * fanout)
 
 
 class _StateCache:
@@ -558,9 +563,10 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
 
     Child selection per node replays
     :func:`repro.multicast.cam_chord.select_child_regions` exactly —
-    same slot order, same spare-capacity ceiling, same resolved-child
-    guard — with every ``(level, sequence)`` slot resolution memoized in
-    the overlay's lazy slot tables.
+    same slot order (a compiled plan), same resolved-child guard — with
+    every slot resolution memoized in the overlay's lazy slot tables.
+    ``order`` doubles as the breadth-first queue; ``limits[i]`` ends
+    member ``i``'s region.
     """
     snapshot = overlay.snapshot
     state = _split_state(overlay)
@@ -569,6 +575,7 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     size = snapshot.space.size
     fanouts = state.fanouts
     tables = state.tables
+    plans_by_fanout = _SLOT_PLANS.setdefault(size, {})
     source_index = bisect_left(idents, source.ident)
 
     parent_index = array("l", [UNREACHED]) * count
@@ -577,55 +584,46 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     order = array("l", [source_index])
     parent_index[source_index] = source_index
     depths[source_index] = 0
+    limits = [0] * count
+    limits[source_index] = (source.ident - 1) % size
 
     fills = 0
-    hits = 0
-    queue = deque([(source_index, (source.ident - 1) % size)])
-    pop = queue.popleft
-    push = queue.append
+    touched = 0
     deliver = order.append
-    while queue:
-        i, limit = pop()
+    for i in order:  # grows as children are delivered: a FIFO queue
         ident = idents[i]
-        remaining = (limit - ident) % size
+        remaining = (limits[i] - ident) % size
         if remaining == 0:
             continue
         fanout = fanouts[i]
-        ladder = state.powers(fanout, size)
+        entry = plans_by_fanout.get(fanout)
+        if entry is None:
+            entry = plans_by_fanout[fanout] = _slot_plans(size, fanout)
+        ladder, plans = entry
         level = bisect_right(ladder, remaining) - 1
         sequence = remaining // ladder[level]
+        plan = plans[level * fanout + sequence]
+        if plan is None:
+            plan = plans[level * fanout + sequence] = tuple(
+                (lvl * (fanout - 1) + seq - 1, seq * ladder[lvl])
+                for lvl, seq in candidate_slots(fanout, level, sequence)
+            )
         table = tables[i]
         if table is None:
             table = tables[i] = array("l", [UNREACHED]) * (len(ladder) * (fanout - 1))
-
-        # Candidate slots in the paper's order: level-i neighbors
-        # preceding k (highest sequence first), spread-out level-(i-1)
-        # neighbors (ceiling; see cam_chord module docstring), then the
-        # successor slot (0, 1) picking up whatever remains.
-        slots = [(level, seq) for seq in range(sequence, 0, -1)]
-        if level >= 1:
-            position = float(fanout)
-            step = fanout / (fanout - sequence)
-            for _ in range(fanout - sequence - 1):
-                position -= step
-                slots.append((level - 1, ceil(position)))
-        slots.append((0, 1))
+        touched += len(plan)
 
         hop = depths[i] + 1
         children = 0
-        sublimit = limit
-        for slot_level, slot_sequence in slots:
-            neighbor_ident = (ident + slot_sequence * ladder[slot_level]) % size
-            slot = slot_level * (fanout - 1) + slot_sequence - 1
+        sublimit = limits[i]
+        for slot, step in plan:
             child = table[slot]
             if child < 0:
-                child = bisect_left(idents, neighbor_ident)
+                child = bisect_left(idents, (ident + step) % size)
                 if child == count:
                     child = 0
                 table[slot] = child
                 fills += 1
-            else:
-                hits += 1
             offset = (idents[child] - ident) % size
             if 0 < offset <= remaining:
                 if parent_index[child] != UNREACHED:
@@ -635,16 +633,18 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
                     )
                 parent_index[child] = i
                 depths[child] = hop
+                limits[child] = sublimit
                 deliver(child)
-                push((child, sublimit))
                 children += 1
-                sublimit = (neighbor_ident - 1) % size
-                remaining = (sublimit - ident) % size
+                # the rest of the region ends just before this slot
+                # (0 < step < size, so remaining needs no modulo)
+                sublimit = (ident + step - 1) % size
+                remaining = step - 1
         if children:
             child_count[i] = children
 
     perf.COUNTERS.kernel_resolves += fills
-    perf.COUNTERS.kernel_resolves_saved += hits
+    perf.COUNTERS.kernel_resolves_saved += touched - fills
     return _finish(snapshot, source.ident, parent_index, depths, child_count, order)
 
 

@@ -20,13 +20,16 @@ lowest-delay one.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable
 
 from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node
-from repro.overlay.cam_chord import CamChordOverlay, level_and_sequence
+from repro.overlay.cam_chord import (
+    CamChordOverlay,
+    candidate_slots,
+    level_and_sequence,
+)
 
 #: delay(parent, candidate) -> cost used to rank window candidates
 DelayFunction = Callable[[int, int], float]
@@ -72,14 +75,10 @@ def select_children_pns(
         selected.append((child, remaining_limit))
         remaining_limit = space.sub(child.ident, 1)
 
-    for seq in range(sequence, 0, -1):
-        consider(level, seq)
-    if level >= 1:
-        position = float(capacity)
-        step = capacity / (capacity - sequence)
-        for _ in range(capacity - sequence - 1):
-            position -= step
-            consider(level - 1, math.ceil(position))
+    # Lines 6-14 in candidate_slots order; its last slot, line 15's
+    # successor (0, 1), is handled below.
+    for lvl, seq in candidate_slots(capacity, level, sequence)[:-1]:
+        consider(lvl, seq)
     # Line 15: the successor picks up whatever remains.  Its window
     # [x+1, x+2) offers no selection freedom, so it is the one child
     # that must be the true ring successor — otherwise the members no

@@ -10,6 +10,9 @@ shares this module's arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import ceil
+
 from repro.overlay.base import LookupResult, Node, Overlay, RingSnapshot
 
 
@@ -36,6 +39,41 @@ def level_and_sequence(distance: int, capacity: int) -> tuple[int, int]:
         power *= capacity
         level += 1
     return level, distance // power
+
+
+@lru_cache(maxsize=None)
+def candidate_slots(
+    capacity: int, level: int, sequence: int
+) -> tuple[tuple[int, int], ...]:
+    """The MULTICAST candidate slots (Section 3.4, lines 6-15) in order.
+
+    A node of ``capacity`` whose remaining region ends at level
+    ``level``, sequence ``sequence`` (see :func:`level_and_sequence`)
+    considers its neighbor slots ``(level, sequence)`` in this order:
+
+    * lines 6-9: the level-``i`` slots preceding ``k``, highest sequence
+      first;
+    * lines 10-14: the spare capacity spread over level-``(i-1)`` slots
+      as evenly separated as possible.  The pseudo code floors the
+      running position, but the paper's own worked example (Figure 3:
+      ``x`` with capacity 3 forwarding to ``x_{2,2}``) needs the
+      ceiling — floor would pick ``x_{2,1}`` — so the ceiling is used;
+    * line 15: the successor slot ``(0, 1)``, which picks up whatever
+      remains.
+
+    The one home of the slot rule: the reference recorder, the live
+    peers, proximity selection and the flat-array kernel's compiled
+    plans all iterate it.  A pure function of its arguments, memoized.
+    """
+    slots = [(level, seq) for seq in range(sequence, 0, -1)]
+    if level >= 1:
+        position = float(capacity)
+        step = capacity / (capacity - sequence)
+        for _ in range(capacity - sequence - 1):
+            position -= step
+            slots.append((level - 1, ceil(position)))
+    slots.append((0, 1))
+    return tuple(slots)
 
 
 def slot_identifiers(ident: int, capacity: int, bits: int) -> list[tuple[int, int, int]]:

@@ -265,3 +265,52 @@ def test_quick_never_appends_to_trajectory(monkeypatch, tmp_path, trajectory):
         {"fig6": 0.5, "fig8": 0.5, "extL": 0.5, "extN": 0.5},
     )
     assert trajectory.read_text() == before
+
+
+def test_quick_baseline_ignores_an_outlier_latest_entry(monkeypatch, tmp_path):
+    """Each figure's baseline is min(latest entry, median of the last
+    three entries of the same scale holding it): a slow outlier latest
+    entry cannot raise the bar, a fast one still sets it, and entries
+    of another scale or without the figure do not count."""
+
+    def entry(scale, **figures):
+        return {
+            "recorded_at": "2026-08-06T00:00:00+00:00",
+            "scale": scale,
+            "figures": {name: {"cold_median_s": s} for name, s in figures.items()},
+        }
+
+    path = tmp_path / "BENCH_core.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "entries": [
+                    entry("bench", fig6=5.0, fig8=5.0),  # older than the last three
+                    entry("bench", fig6=1.0, fig8=2.2, extN=0.5),
+                    entry("quick", fig6=0.1, fig8=0.1),  # another scale
+                    entry("bench", fig6=1.1, fig8=2.4, extL=0.5),
+                    entry("bench", fig6=2.0, fig8=2.0, extL=0.4, extN=0.5),
+                ],
+            }
+        )
+    )
+    code, result = run_quick(
+        monkeypatch,
+        tmp_path,
+        path,
+        {"fig6": 1.6, "fig8": 2.5, "extL": 0.4, "extN": 0.5},
+    )
+    figures = result["figures"]
+    # fig6: median(1.0, 1.1, 2.0) = 1.1 replaces the 2.0 outlier, and
+    # 1.6 s is 1.45x of it (0.5 s over the noise floor): a regression
+    # the latest-entry rule (0.8x) would have passed
+    assert figures["fig6"]["baseline_cold_median_s"] == 1.1
+    assert figures["fig6"]["ok"] is False
+    # fig8: the latest entry (2.0) is below median(2.2, 2.4, 2.0) = 2.2
+    assert figures["fig8"]["baseline_cold_median_s"] == 2.0
+    assert figures["fig8"]["ok"] is True
+    # extL/extN held by fewer than three entries: median of what there is
+    assert figures["extL"]["baseline_cold_median_s"] == 0.4
+    assert figures["extN"]["baseline_cold_median_s"] == 0.5
+    assert code == 1 and result["passed"] is False

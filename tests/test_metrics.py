@@ -123,6 +123,19 @@ class TestThroughput:
         tree = FlatTree.rooted(snap, 0)
         assert sustainable_throughput(tree, snap) == 750.0
 
+    def test_bandwidths_come_from_the_tree_snapshot(self):
+        """The ``snapshot`` argument is unused: a different snapshot,
+        with other bandwidths for the same identifiers, changes nothing
+        for a one-member tree or a multi-member one."""
+        lone = FlatTree.rooted(make_snapshot(8, [0], bandwidth=750.0), 0)
+        other = make_snapshot(8, [0], bandwidth=120.0)
+        assert sustainable_throughput(lone, other) == 750.0
+        snap = make_snapshot(8, [0, 10, 20], bandwidth=[800.0, 600.0, 500.0])
+        tree = recorded_tree(snap, 0, [(0, 10), (0, 20)])
+        other = make_snapshot(8, [0, 10, 20], bandwidth=[90.0, 90.0, 90.0])
+        assert sustainable_throughput(tree, other) == 400.0
+        assert sustainable_throughput(tree, snap) == 400.0
+
     def test_average_children(self):
         assert average_children_per_internal_node(star_tree(0, [1, 2])) == 2
         assert average_children_per_internal_node(chain_tree([0, 1, 2])) == 1
